@@ -320,11 +320,13 @@ func BenchmarkOneBitBroadcast(b *testing.B) {
 // batched kernel landed runs well *under* Baseline (it skips the
 // per-trial allocations and interface dispatch Baseline still pays);
 // Observed turns the full telemetry on (spans, counters, convergence
-// checkpoints into a discarded sink) to document the cost of opting in —
-// the contract is that Observed stays within a few percent of
-// Instrumented, since win flags are replayed per trial from the batch
-// buffer rather than re-simulated. All three use one worker and identical
-// PCG streams so ns/op is comparable.
+// checkpoints into a discarded sink) to document the cost of opting in.
+// Observed runs play the same PCG lane kernel as Instrumented and account
+// per batch — sim.rng_draws is computed as trials × draws per trial and
+// checkpoints scan only the batches that cross a cadence boundary — so
+// Observed stays within a few percent of Instrumented
+// (TestObservedOverheadLive in internal/sim gates the ratio). All three
+// use one worker and identical PCG streams so ns/op is comparable.
 
 const obsBenchTrials = 100_000
 

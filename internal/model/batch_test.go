@@ -125,9 +125,67 @@ func TestIntervalUnionRuleValidation(t *testing.T) {
 	}
 }
 
+func testPCG(seed uint64) *rand.PCG {
+	return rand.NewPCG(seed, seed^0x94d049bb133111eb)
+}
+
+// checkPlaySrcMatchesOracle plays b trials through k.PlaySrc and b rounds
+// of the per-trial reference (SampleInputsInto + PlayInto on
+// rand.New(pcg)) from identically seeded streams, and requires identical
+// win flags, win counts and final stream state.
+func checkPlaySrcMatchesOracle(t *testing.T, name string, sys *System, seed uint64, b int) {
+	t.Helper()
+	k, ok := NewBatchKernel(sys)
+	if !ok {
+		t.Fatalf("%s: expected a batch kernel for batchable rules", name)
+	}
+	sc := GetBatchScratch()
+	defer sc.Release()
+	batchPCG := testPCG(seed)
+	wins := k.PlaySrc(sc, batchPCG, b)
+
+	oraclePCG := testPCG(seed)
+	rng := rand.New(oraclePCG)
+	inputs := make([]float64, sys.N())
+	var out Outcome
+	oracleWins := 0
+	for i := 0; i < b; i++ {
+		if err := sys.SampleInputsInto(inputs, rng); err != nil {
+			t.Fatal(err)
+		}
+		for j, x := range inputs {
+			if w := sys.InputWidth(j); x < 0 || x > w {
+				t.Fatalf("%s: trial %d: input %d = %v outside [0, %v]", name, i, j, x, w)
+			}
+		}
+		if err := sys.PlayInto(&out, inputs, rng); err != nil {
+			t.Fatal(err)
+		}
+		if out.Win != sc.Wins()[i] {
+			t.Fatalf("%s: trial %d: batch win %v, per-trial win %v", name, i, sc.Wins()[i], out.Win)
+		}
+		if out.Win {
+			oracleWins++
+		}
+	}
+	if wins != oracleWins {
+		t.Fatalf("%s: batch wins %d, per-trial wins %d", name, wins, oracleWins)
+	}
+	// Both paths must leave their streams in the same state, having drawn
+	// exactly Dims() values per trial.
+	want := testPCG(seed)
+	for i := 0; i < b*k.Dims(); i++ {
+		want.Uint64()
+	}
+	if a, bb, w := batchPCG.Uint64(), oraclePCG.Uint64(), want.Uint64(); a != bb || a != w {
+		t.Fatalf("%s: streams diverged after play: batch %x, per-trial %x, %d draws/trial %x",
+			name, a, bb, k.Dims(), w)
+	}
+}
+
 // TestBatchKernelMatchesPerTrialPlay pins the RNG draw-order invariant at
-// the model level: a BatchKernel.Play batch must reproduce, bit for bit,
-// the outcomes of the same number of SampleInputs + Play rounds on an
+// the model level: a BatchKernel.PlaySrc batch must reproduce, bit for
+// bit, the outcomes of the same number of per-trial rounds on an
 // identically seeded stream — including randomized (coin-drawing) rules.
 func TestBatchKernelMatchesPerTrialPlay(t *testing.T) {
 	thr, _ := NewThresholdRule(0.622)
@@ -147,38 +205,7 @@ func TestBatchKernelMatchesPerTrialPlay(t *testing.T) {
 	if k.N() != 4 {
 		t.Fatalf("kernel players = %d, want 4", k.N())
 	}
-
-	const b = 777 // odd size exercises the partial-batch path
-	sc := GetBatchScratch()
-	defer sc.Release()
-	batchRNG := testRNG(99)
-	wins := k.Play(sc, batchRNG, b)
-
-	perTrialRNG := testRNG(99)
-	perTrialWins := 0
-	for i := 0; i < b; i++ {
-		inputs, err := sys.SampleInputs(perTrialRNG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := sys.Play(inputs, perTrialRNG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Win != sc.Wins()[i] {
-			t.Fatalf("trial %d: batch win %v, per-trial win %v", i, sc.Wins()[i], out.Win)
-		}
-		if out.Win {
-			perTrialWins++
-		}
-	}
-	if wins != perTrialWins {
-		t.Fatalf("batch wins %d, per-trial wins %d", wins, perTrialWins)
-	}
-	// The two paths must leave their streams in the same state.
-	if a, bb := batchRNG.Uint64(), perTrialRNG.Uint64(); a != bb {
-		t.Fatalf("streams diverged after play: %x vs %x", a, bb)
-	}
+	checkPlaySrcMatchesOracle(t, "mixed", sys, 99, 777) // odd size exercises the partial-batch path
 }
 
 // TestBatchKernelMatchesPerTrialPlayPi repeats the batch/per-trial
@@ -195,46 +222,7 @@ func TestBatchKernelMatchesPerTrialPlayPi(t *testing.T) {
 	if !sys.Heterogeneous() {
 		t.Fatal("system should report heterogeneous widths")
 	}
-	k, ok := NewBatchKernel(sys)
-	if !ok {
-		t.Fatal("expected a batch kernel for batchable rules")
-	}
-
-	const b = 777
-	sc := GetBatchScratch()
-	defer sc.Release()
-	batchRNG := testRNG(41)
-	wins := k.Play(sc, batchRNG, b)
-
-	perTrialRNG := testRNG(41)
-	perTrialWins := 0
-	for i := 0; i < b; i++ {
-		inputs, err := sys.SampleInputs(perTrialRNG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, x := range inputs {
-			if w := sys.InputWidth(j); x < 0 || x > w {
-				t.Fatalf("trial %d: input %d = %v outside [0, %v]", i, j, x, w)
-			}
-		}
-		out, err := sys.Play(inputs, perTrialRNG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Win != sc.Wins()[i] {
-			t.Fatalf("trial %d: batch win %v, per-trial win %v", i, sc.Wins()[i], out.Win)
-		}
-		if out.Win {
-			perTrialWins++
-		}
-	}
-	if wins != perTrialWins {
-		t.Fatalf("batch wins %d, per-trial wins %d", wins, perTrialWins)
-	}
-	if a, bb := batchRNG.Uint64(), perTrialRNG.Uint64(); a != bb {
-		t.Fatalf("streams diverged after play: %x vs %x", a, bb)
-	}
+	checkPlaySrcMatchesOracle(t, "mixed-pi", sys, 41, 777)
 }
 
 // TestNewBatchKernelFallsBack verifies that systems containing a rule
@@ -254,7 +242,7 @@ func TestNewBatchKernelFallsBack(t *testing.T) {
 }
 
 // TestBatchKernelPlayAllocationFree pins the zero-allocation contract of
-// the steady-state kernel: once the scratch buffers are warm, Play must
+// the steady-state kernel: once the scratch buffers are warm, PlaySrc must
 // not allocate at all.
 func TestBatchKernelPlayAllocationFree(t *testing.T) {
 	thr, _ := NewThresholdRule(0.622)
@@ -275,14 +263,14 @@ func TestBatchKernelPlayAllocationFree(t *testing.T) {
 			t.Fatalf("%s: expected batch kernel", tc.name)
 		}
 		sc := GetBatchScratch()
-		rng := testRNG(5)
-		k.Play(sc, rng, 256) // warm the buffers
+		pcg := testPCG(5)
+		k.PlaySrc(sc, pcg, 256) // warm the buffers
 		allocs := testing.AllocsPerRun(10, func() {
-			k.Play(sc, rng, 256)
+			k.PlaySrc(sc, pcg, 256)
 		})
 		sc.Release()
 		if allocs != 0 {
-			t.Errorf("%s: steady-state Play allocates %v times per batch, want 0", tc.name, allocs)
+			t.Errorf("%s: steady-state PlaySrc allocates %v times per batch, want 0", tc.name, allocs)
 		}
 	}
 }
@@ -340,12 +328,6 @@ func TestPlayIntoReusesBuffers(t *testing.T) {
 	}
 }
 
-// rawSource hides a source's concrete type so tests can force the
-// interface-draw paths (fillSrc / playFusedSrc).
-type rawSource struct{ s rand.Source }
-
-func (r rawSource) Uint64() uint64 { return r.s.Uint64() }
-
 // playSrcSystems builds one system per kernel path: the pure-threshold
 // register loop, the banded register loop, the lane path with coins, and
 // the heterogeneous variants.
@@ -388,48 +370,13 @@ func playSrcSystems(t *testing.T) map[string]*System {
 }
 
 // TestPlaySrcMatchesPlay pins the bit-identity of every PlaySrc
-// specialization (fused threshold, fused band, lane path; PCG-concrete
-// and interface sources) against the reference Play over the same
-// stream: identical win flags, counts, and final source state.
+// specialization (fused threshold, fused band, lane path, homogeneous and
+// heterogeneous) against the per-trial SampleInputsInto + PlayInto oracle
+// over the same stream: identical win flags, counts, and final source
+// state.
 func TestPlaySrcMatchesPlay(t *testing.T) {
-	const b = 777
 	for name, sys := range playSrcSystems(t) {
-		k, ok := NewBatchKernel(sys)
-		if !ok {
-			t.Fatalf("%s: expected batch kernel", name)
-		}
-		ref := GetBatchScratch()
-		refWins := k.Play(ref, testRNG(7), b)
-		refFlags := append([]bool(nil), ref.Wins()[:b]...)
-		ref.Release()
-
-		for _, src := range []struct {
-			label string
-			src   rand.Source
-		}{
-			{"pcg", rand.NewPCG(7, 7^0x94d049bb133111eb)},
-			{"interface", rawSource{rand.NewPCG(7, 7^0x94d049bb133111eb)}},
-		} {
-			sc := GetBatchScratch()
-			wins := k.PlaySrc(sc, src.src, b)
-			if wins != refWins {
-				t.Errorf("%s/%s: PlaySrc wins %d, Play wins %d", name, src.label, wins, refWins)
-			}
-			for i := range refFlags {
-				if sc.Wins()[i] != refFlags[i] {
-					t.Fatalf("%s/%s: trial %d flag %v, want %v", name, src.label, i, sc.Wins()[i], refFlags[i])
-				}
-			}
-			sc.Release()
-			// Both paths must leave the stream in the same state.
-			want := testRNG(7)
-			for i := 0; i < b*k.Dims(); i++ {
-				want.Float64()
-			}
-			if a, bb := src.src.Uint64(), want.Uint64(); a != bb {
-				t.Errorf("%s/%s: stream diverged after play: %x vs %x", name, src.label, a, bb)
-			}
-		}
+		checkPlaySrcMatchesOracle(t, name, sys, 7, 777)
 	}
 }
 
@@ -463,13 +410,13 @@ func TestBatchScratchMixedSizes(t *testing.T) {
 	}
 	sc := GetBatchScratch()
 	defer sc.Release()
-	rng := testRNG(3)
+	pcg := testPCG(3)
 	// Warm with the widest lane demand and the largest batch once.
-	kernels[len(kernels)-2].Play(sc, rng, 777)
+	kernels[len(kernels)-2].PlaySrc(sc, pcg, 777)
 	allocs := testing.AllocsPerRun(5, func() {
 		for _, k := range kernels {
 			for _, b := range []int{100, 256, 777} {
-				k.Play(sc, rng, b)
+				k.PlaySrc(sc, pcg, b)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand/v2"
 	"testing"
 
@@ -113,8 +114,9 @@ func TestBatchedWinProbabilityMatchesGolden(t *testing.T) {
 
 // TestBatchedMatchesForcedPerTrial runs every golden system through both
 // engine paths — batched (rules implement model.BatchRule) and the
-// per-trial fallback (rules wrapped to hide it) — and requires identical
-// results, including the floating-point summaries.
+// per-trial fallback (rules wrapped to hide it) — each with and without an
+// observer, and requires identical results, including the floating-point
+// summaries.
 func TestBatchedMatchesForcedPerTrial(t *testing.T) {
 	for _, tc := range goldenSystems(t) {
 		fallback := unbatch(t, tc.sys)
@@ -124,18 +126,59 @@ func TestBatchedMatchesForcedPerTrial(t *testing.T) {
 		if _, ok := model.NewBatchKernel(fallback); ok {
 			t.Fatalf("%s: wrapped system must not be batchable", tc.name)
 		}
-		for _, w := range []int{1, 4} {
+		for _, w := range []int{1, 3, 4} {
 			cfg := Config{Trials: 20000, Workers: w, Seed: 99}
 			batched, err := WinProbability(tc.sys, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			perTrial, err := WinProbability(fallback, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, alt := range []struct {
+				label string
+				sys   *model.System
+				o     *obs.Observer
+			}{
+				{"per-trial", fallback, nil},
+				{"observed batched", tc.sys, obs.New(obs.NewRegistry(), obs.NewSink(io.Discard))},
+				{"observed per-trial", fallback, obs.New(obs.NewRegistry(), nil)},
+			} {
+				c := cfg
+				c.Obs = alt.o
+				got, err := WinProbability(alt.sys, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != batched {
+					t.Errorf("%s workers=%d: %s %+v != batched %+v", tc.name, w, alt.label, got, batched)
+				}
 			}
-			if batched != perTrial {
-				t.Errorf("%s workers=%d: batched %+v != per-trial %+v", tc.name, w, batched, perTrial)
+		}
+	}
+}
+
+// TestObservedRNGDrawsComputed pins the batched path's computed
+// sim.rng_draws to exactly Trials × k.Dims(), and to the count the
+// per-trial path's counting wrapper makes on the same streams.
+func TestObservedRNGDrawsComputed(t *testing.T) {
+	const trials = 10007
+	for _, tc := range goldenSystems(t) {
+		k, ok := model.NewBatchKernel(tc.sys)
+		if !ok {
+			t.Fatalf("%s: expected a batch kernel", tc.name)
+		}
+		want := int64(trials * k.Dims())
+		for _, w := range []int{1, 3} {
+			for _, path := range []struct {
+				label string
+				sys   *model.System
+			}{{"batched", tc.sys}, {"per-trial", unbatch(t, tc.sys)}} {
+				o := obs.New(obs.NewRegistry(), nil)
+				if _, err := WinProbability(path.sys, Config{Trials: trials, Workers: w, Seed: 5, Obs: o}); err != nil {
+					t.Fatal(err)
+				}
+				if got := o.Counter("sim.rng_draws").Value(); got != want {
+					t.Errorf("%s workers=%d %s: sim.rng_draws = %d, want %d × %d = %d",
+						tc.name, w, path.label, got, trials, k.Dims(), want)
+				}
 			}
 		}
 	}
@@ -152,33 +195,37 @@ var goldenCheckpoints = map[string][5]int64{
 	"mixed":     {663, 1287, 1959, 2616, 3248},
 }
 
-// TestBatchedCheckpointStreamMatchesGolden pins the observed batched
-// path's checkpoint stream to the per-trial engine's.
+// TestBatchedCheckpointStreamMatchesGolden pins the checkpoint stream of
+// both observed paths — batched, and the per-trial fallback that hands
+// the checkpointer its flags batchSize trials at a time — to the
+// pre-batch engine's.
 func TestBatchedCheckpointStreamMatchesGolden(t *testing.T) {
 	for _, tc := range goldenSystems(t) {
-		var buf bytes.Buffer
-		o := obs.New(obs.NewRegistry(), obs.NewSink(&buf))
-		_, err := WinProbability(tc.sys, Config{Trials: 10000, Workers: 1, Seed: 42, Obs: o, CheckpointEvery: 2000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		evs, err := obs.ReadEvents(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := goldenCheckpoints[tc.name]
-		var got []string
-		for _, e := range evs {
-			if e.Type == obs.EventCheckpoint {
-				got = append(got, fmt.Sprintf("%v/%v", e.Attrs["trials"], e.Attrs["wins"]))
+		for _, sys := range []*model.System{tc.sys, unbatch(t, tc.sys)} {
+			var buf bytes.Buffer
+			o := obs.New(obs.NewRegistry(), obs.NewSink(&buf))
+			_, err := WinProbability(sys, Config{Trials: 10000, Workers: 1, Seed: 42, Obs: o, CheckpointEvery: 2000})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d checkpoints, want %d: %v", tc.name, len(got), len(want), got)
-		}
-		for i, w := range want {
-			if exp := fmt.Sprintf("%d/%d", 2000*(i+1), w); got[i] != exp {
-				t.Errorf("%s: checkpoint %d = %s, golden %s", tc.name, i, got[i], exp)
+			evs, err := obs.ReadEvents(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := goldenCheckpoints[tc.name]
+			var got []string
+			for _, e := range evs {
+				if e.Type == obs.EventCheckpoint {
+					got = append(got, fmt.Sprintf("%v/%v", e.Attrs["trials"], e.Attrs["wins"]))
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d checkpoints, want %d: %v", tc.name, len(got), len(want), got)
+			}
+			for i, w := range want {
+				if exp := fmt.Sprintf("%d/%d", 2000*(i+1), w); got[i] != exp {
+					t.Errorf("%s: checkpoint %d = %s, golden %s", tc.name, i, got[i], exp)
+				}
 			}
 		}
 	}
@@ -186,24 +233,36 @@ func TestBatchedCheckpointStreamMatchesGolden(t *testing.T) {
 
 // TestWinProbabilityAllocationRegression pins the tentpole's allocation
 // contract: a batched run's allocations are per-run setup (goroutines,
-// result assembly), not per-trial — well under 0.01 allocs/trial.
+// spans, checkpoint events, result assembly), not per-trial — well under
+// 0.01 allocs/trial, with no observer, with serve's metrics-only
+// observer, and with a full event sink.
 func TestWinProbabilityAllocationRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is slow in -short mode")
 	}
+	observers := []struct {
+		label string
+		o     *obs.Observer
+	}{
+		{"plain", nil},
+		{"metrics", obs.New(obs.NewRegistry(), nil)},
+		{"events", obs.New(obs.NewRegistry(), obs.NewSink(io.Discard))},
+	}
 	for _, tc := range goldenSystems(t) {
-		const trials = 50000
-		cfg := Config{Trials: trials, Workers: 1, Seed: 3}
-		if _, err := WinProbability(tc.sys, cfg); err != nil { // warm pools
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := WinProbability(tc.sys, cfg); err != nil {
+		for _, ob := range observers {
+			const trials = 50000
+			cfg := Config{Trials: trials, Workers: 1, Seed: 3, Obs: ob.o}
+			if _, err := WinProbability(tc.sys, cfg); err != nil { // warm pools
 				t.Fatal(err)
 			}
-		})
-		if perTrial := allocs / trials; perTrial >= 0.01 {
-			t.Errorf("%s: %v allocs per run (%v/trial), want < 0.01/trial", tc.name, allocs, perTrial)
+			allocs := testing.AllocsPerRun(3, func() {
+				if _, err := WinProbability(tc.sys, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perTrial := allocs / trials; perTrial >= 0.01 {
+				t.Errorf("%s/%s: %v allocs per run (%v/trial), want < 0.01/trial", tc.name, ob.label, allocs, perTrial)
+			}
 		}
 	}
 }

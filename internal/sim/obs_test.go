@@ -32,10 +32,10 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 	if got := o.Counter("sim.wins").Value(); got != observed.Wins {
 		t.Errorf("sim.wins = %d, want %d", got, observed.Wins)
 	}
-	// Every trial draws 3 inputs, so at least 3 draws per trial must be
-	// accounted (threshold rules draw no extra randomness).
-	if got := o.Counter("sim.rng_draws").Value(); got < 3*20000 {
-		t.Errorf("sim.rng_draws = %d, want >= 60000", got)
+	// Every trial draws exactly its 3 inputs: threshold rules draw no
+	// extra randomness.
+	if got := o.Counter("sim.rng_draws").Value(); got != 3*20000 {
+		t.Errorf("sim.rng_draws = %d, want 60000", got)
 	}
 	snap := o.Metrics.Snapshot()
 	throughput := 0
@@ -106,5 +106,19 @@ func TestConvergenceTrace(t *testing.T) {
 	}
 	if sum.OpenSpans != 0 {
 		t.Errorf("open spans = %d, want 0", sum.OpenSpans)
+	}
+}
+
+// TestCheckpointsWithoutSink covers serve's default observer, which has a
+// metrics registry but no event sink: the convergence trace still feeds
+// the sim.estimate histogram once per checkpoint.
+func TestCheckpointsWithoutSink(t *testing.T) {
+	sys := thresholdSystem(t, 3, 0.622, 1)
+	o := obs.New(obs.NewRegistry(), nil)
+	if _, err := WinProbability(sys, Config{Trials: 10000, Workers: 2, Seed: 3, Obs: o, CheckpointEvery: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Histogram("sim.estimate", 0, 1, 20).Total(); got != 20 {
+		t.Errorf("sim.estimate observations = %d, want 20 (10000 trials / every 500)", got)
 	}
 }

@@ -52,9 +52,11 @@ type Config struct {
 	Seed uint64
 	// Obs optionally instruments the run: sim.trials / sim.wins /
 	// sim.rng_draws counters, per-worker throughput gauges, nested
-	// run → worker spans, and a convergence checkpoint trace. A nil
-	// Observer keeps the hot loop exactly as fast as the uninstrumented
-	// engine (a single branch per run, not per trial).
+	// run → worker spans, and a convergence checkpoint trace. Observed
+	// runs play the same kernel on the same streams as plain ones, so
+	// results are identical; batched runs compute sim.rng_draws as
+	// trials × draws per trial and feed the checkpointer once per batch.
+	// A nil Observer costs a few branches per run, none per trial.
 	Obs *obs.Observer
 	// CheckpointEvery emits one convergence checkpoint (running estimate
 	// + Wilson CI) every k trials when Obs is enabled. 0 picks
@@ -107,7 +109,7 @@ func WorkerCount(requested, jobs int) (int, error) {
 }
 
 // workerSource derives worker w's independent random stream.
-func (c Config) workerSource(w int) rand.Source {
+func (c Config) workerSource(w int) *rand.PCG {
 	// SplitMix-style stream separation: distinct, well-mixed PCG seeds.
 	s := c.Seed + 0x9e3779b97f4a7c15*uint64(w+1)
 	s ^= s >> 30
@@ -115,12 +117,9 @@ func (c Config) workerSource(w int) rand.Source {
 	return rand.NewPCG(s, s^0x94d049bb133111eb)
 }
 
-func (c Config) workerRNG(w int) *rand.Rand {
-	return rand.New(c.workerSource(w))
-}
-
 // countingSource wraps a rand.Source to count draws for the sim.rng_draws
-// counter; it is only interposed when observability is enabled, so the
+// counter on the per-trial path, whose draws per trial depend on the
+// rules. It is only interposed when observability is enabled, so the
 // plain path never pays the indirection.
 type countingSource struct {
 	src rand.Source
@@ -168,9 +167,10 @@ func resultFrom(p stats.Proportion) (Result, error) {
 // trialFunc plays one round and reports success.
 type trialFunc func(rng *rand.Rand) (bool, error)
 
-// trialFactory builds worker w's trial function. It runs inside the
-// worker goroutine, so the returned closure may own scratch buffers
-// (input vectors, reusable Outcomes) without any cross-worker sharing.
+// trialFactory builds worker w's trial function. It runs once per
+// worker, inside that worker's body, so the returned closure may own
+// scratch buffers (input vectors, reusable Outcomes) without any
+// cross-worker sharing.
 type trialFactory func(w int) trialFunc
 
 // wrapTrialErr classifies a mid-trial failure under ErrRuleFailed while
@@ -196,143 +196,77 @@ func splitQuota(trials, workers, w int) int {
 	return quota
 }
 
-// runBernoulli fans per-trial rounds out over workers and merges the
-// counts. The name labels the run's root span when observability is on.
-// This is the generic path: the batched kernel in runBatch handles
-// systems whose rules all implement model.BatchRule.
-func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error) {
-	cfg, err := cfg.validate()
-	if err != nil {
-		return Result{}, err
+// fanOut runs body once per worker with that worker's trial quota, each
+// under a pprof label, and returns the per-worker errors. A single worker
+// runs inline, skipping the goroutine and WaitGroup scaffolding; its seed
+// and quota are the worker-0 values, so results do not depend on which
+// form runs.
+func fanOut(cfg Config, body func(w, quota int) error) []error {
+	errs := make([]error, cfg.Workers)
+	if cfg.Workers == 1 {
+		runLabeled(0, func() { errs[0] = body(0, cfg.Trials) })
+		return errs
 	}
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func(w, quota int) {
+			defer wg.Done()
+			runLabeled(w, func() { errs[w] = body(w, quota) })
+		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
+	}
+	wg.Wait()
+	return errs
+}
+
+// run is the shared state of one Bernoulli estimate: per-worker counters,
+// the RNG-draw total, and — only when cfg.Obs is set — the root span and
+// the convergence checkpointer. Without an observer those stay nil and
+// every use of them is a nil-safe no-op, so plain and observed runs share
+// one fan-out and produce identical results.
+type run struct {
+	cfg      Config
+	root     *obs.Span
+	ck       *checkpointer
+	counters []stats.Proportion
+	rngDraws atomic.Int64
+}
+
+func newRun(cfg Config, name string) *run {
+	r := &run{cfg: cfg, counters: make([]stats.Proportion, cfg.Workers)}
 	if cfg.Obs.Enabled() {
-		return runBernoulliObserved(cfg, name, newTrial)
+		r.root = cfg.Obs.StartSpan("sim." + name)
+		r.ck = newCheckpointer(cfg)
 	}
-	counters := make([]stats.Proportion, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				trial := newTrial(w)
-				rng := cfg.workerRNG(w)
-				for i := 0; i < quota; i++ {
-					ok, err := trial(rng)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					counters[w].Add(ok)
-				}
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, wrapTrialErr(err)
+	return r
+}
+
+// play fans body out over the workers — each accumulating into
+// r.counters[w] — and merges the result. With an observer each worker
+// also runs under a child span and sets its throughput gauge, and the
+// run-level counters are flushed at the end.
+func (r *run) play(body func(w, quota int) error) (Result, error) {
+	o := r.cfg.Obs
+	defer r.root.End()
+	errs := fanOut(r.cfg, func(w, quota int) error {
+		if r.root == nil {
+			return body(w, quota)
 		}
-	}
+		sp := r.root.Child(fmt.Sprintf("worker[%d]", w))
+		defer sp.End()
+		start := time.Now()
+		err := body(w, quota)
+		if el, n := time.Since(start).Seconds(), r.counters[w].Trials(); el > 0 && n > 0 {
+			o.Gauge(fmt.Sprintf("sim.worker.%d.trials_per_sec", w)).Set(float64(n) / el)
+		}
+		return err
+	})
 	var total stats.Proportion
-	for _, c := range counters {
+	for _, c := range r.counters {
 		total.Merge(c)
 	}
-	return resultFrom(total)
-}
-
-// runBernoulliObserved is the instrumented twin of runBernoulli's fan-out:
-// same seeding, same per-worker quotas (so results are bit-identical with
-// and without observability), plus a root span with one child span per
-// worker, RNG-draw accounting, per-worker throughput gauges, and a
-// convergence checkpoint trace emitted every cfg.CheckpointEvery trials.
-func runBernoulliObserved(cfg Config, name string, newTrial trialFactory) (Result, error) {
-	o := cfg.Obs
-	root := o.StartSpan("sim." + name)
-	defer root.End()
-
-	ck := newCheckpointer(cfg, o)
-	counters := make([]stats.Proportion, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var rngDraws atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				sp := root.Child(fmt.Sprintf("worker[%d]", w))
-				defer sp.End()
-				trial := newTrial(w)
-				src := &countingSource{src: cfg.workerSource(w)}
-				rng := rand.New(src)
-				start := time.Now()
-				done := 0
-				for i := 0; i < quota; i++ {
-					ok, err := trial(rng)
-					if err != nil {
-						errs[w] = err
-						break
-					}
-					counters[w].Add(ok)
-					done++
-					ck.record(ok)
-				}
-				rngDraws.Add(src.n)
-				if el := time.Since(start).Seconds(); el > 0 && done > 0 {
-					o.Gauge(fmt.Sprintf("sim.worker.%d.trials_per_sec", w)).Set(float64(done) / el)
-				}
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
-	return finishObserved(o, counters, errs, rngDraws.Load())
-}
-
-// checkpointer carries the shared convergence-trace state of an observed
-// run: atomic live counts and the checkpoint cadence. Both the per-trial
-// and the batched observed paths record through it trial by trial, so the
-// checkpoint stream is identical between them.
-type checkpointer struct {
-	o          *obs.Observer
-	every      int64
-	estHist    *obs.Histogram
-	liveTrials atomic.Int64
-	liveWins   atomic.Int64
-}
-
-func newCheckpointer(cfg Config, o *obs.Observer) *checkpointer {
-	every := int64(cfg.CheckpointEvery)
-	if every == 0 {
-		every = int64(cfg.Trials / defaultCheckpoints)
-		if every < 1 {
-			every = 1
-		}
-	}
-	return &checkpointer{o: o, every: every, estHist: o.Histogram("sim.estimate", 0, 1, 20)}
-}
-
-// record accounts one finished trial and emits a checkpoint whenever the
-// global trial count crosses a cadence boundary.
-func (c *checkpointer) record(win bool) {
-	if win {
-		c.liveWins.Add(1)
-	}
-	if nt := c.liveTrials.Add(1); nt%c.every == 0 {
-		emitCheckpoint(c.o, c.liveWins.Load(), nt, c.estHist)
-	}
-}
-
-// finishObserved merges worker counters into the final observed Result
-// and flushes the run-level counters.
-func finishObserved(o *obs.Observer, counters []stats.Proportion, errs []error, rngDraws int64) (Result, error) {
 	o.Counter("sim.runs").Inc()
-	o.Counter("sim.rng_draws").Add(rngDraws)
-	var total stats.Proportion
-	for _, c := range counters {
-		total.Merge(c)
-	}
+	o.Counter("sim.rng_draws").Add(r.rngDraws.Load())
 	o.Counter("sim.trials").Add(total.Trials())
 	o.Counter("sim.wins").Add(total.Successes())
 	for _, err := range errs {
@@ -345,148 +279,151 @@ func finishObserved(o *obs.Observer, counters []stats.Proportion, errs []error, 
 	return resultFrom(total)
 }
 
+// record accounts one finished chunk of worker w's trials: flags holds
+// their win flags and won the number set.
+func (r *run) record(w int, flags []bool, won int) {
+	// won counts a subset of flags, so AddN's range check cannot fail.
+	_ = r.counters[w].AddN(int64(won), int64(len(flags)))
+	r.ck.recordBatch(flags, won)
+}
+
+// runBernoulli fans per-trial rounds out over workers and merges the
+// counts. The name labels the run's root span when observability is on.
+// This is the generic path: the batched kernel in runBatch handles
+// systems whose rules all implement model.BatchRule. An observed run
+// counts draws through countingSource, since a generic trial's draw count
+// depends on its rules. Like the batched path, each worker plays and
+// records its trials batchSize at a time.
+func runBernoulli(cfg Config, name string, newTrial trialFactory) (Result, error) {
+	cfg, err := cfg.validate()
+	if err != nil {
+		return Result{}, err
+	}
+	r := newRun(cfg, name)
+	return r.play(func(w, quota int) error {
+		trial := newTrial(w)
+		var src rand.Source = cfg.workerSource(w)
+		if cfg.Obs.Enabled() {
+			cs := &countingSource{src: src}
+			defer func() { r.rngDraws.Add(cs.n) }()
+			src = cs
+		}
+		rng := rand.New(src)
+		var flags [batchSize]bool
+		for done := 0; done < quota; {
+			b := min(batchSize, quota-done)
+			won := 0
+			for i := range flags[:b] {
+				ok, err := trial(rng)
+				if err != nil {
+					return err
+				}
+				flags[i] = ok
+				if ok {
+					won++
+				}
+			}
+			r.record(w, flags[:b], won)
+			done += b
+		}
+		return nil
+	})
+}
+
 // runBatch is the allocation-free fast path: each worker samples and
 // plays batchSize trials per kernel call from pooled scratch buffers —
-// no per-trial slices, no per-player interface dispatch. Seeding and
-// per-worker quotas match runBernoulli exactly, and the kernel preserves
-// the per-trial RNG draw order, so results are bit-identical to the
-// per-trial path for a fixed (Seed, Workers) pair.
+// no per-trial slices, no per-player interface dispatch, every draw a
+// direct call on the worker's *rand.PCG. Seeding and per-worker quotas
+// match runBernoulli exactly, and the kernel preserves the per-trial RNG
+// draw order, so results are bit-identical to the per-trial path for a
+// fixed (Seed, Workers) pair. Observability works per batch: every trial
+// draws exactly k.Dims() values, so sim.rng_draws is computed, and the
+// checkpointer receives each batch's win flags.
 func runBatch(cfg Config, name string, k *model.BatchKernel) (Result, error) {
 	cfg, err := cfg.validate()
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Obs.Enabled() {
-		return runBatchObserved(cfg, name, k)
-	}
-	if cfg.Workers == 1 {
-		// Single-worker runs skip the fan-out scaffolding (WaitGroup,
-		// goroutine closure, per-worker slices). Seeding and quota are the
-		// worker-0 values of the general path, so results stay
-		// bit-identical to a one-goroutine fan-out.
-		var total stats.Proportion
-		runLabeled(0, func() {
-			err = batchWorker(cfg, k, 0, cfg.Trials, &total)
-		})
-		if err != nil {
-			return Result{}, err
+	r := newRun(cfg, name)
+	return r.play(func(w, quota int) error {
+		pcg := cfg.workerSource(w)
+		sc := model.GetBatchScratch()
+		defer sc.Release()
+		for done := 0; done < quota; {
+			b := min(batchSize, quota-done)
+			won := k.PlaySrc(sc, pcg, b)
+			r.record(w, sc.Wins()[:b], won)
+			done += b
 		}
-		return resultFrom(total)
-	}
-	counters := make([]stats.Proportion, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				errs[w] = batchWorker(cfg, k, w, quota, &counters[w])
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	var total stats.Proportion
-	for _, c := range counters {
-		total.Merge(c)
-	}
-	return resultFrom(total)
+		r.rngDraws.Add(int64(quota) * int64(k.Dims()))
+		return nil
+	})
 }
 
-// batchWorker plays worker w's quota of trials through the kernel from
-// pooled scratch, accumulating wins into out. It is the shared body of
-// runBatch's inline single-worker path and its goroutine fan-out.
-func batchWorker(cfg Config, k *model.BatchKernel, w, quota int, out *stats.Proportion) error {
-	src := cfg.workerSource(w)
-	sc := model.GetBatchScratch()
-	defer sc.Release()
-	var wins, trials int64
-	for done := 0; done < quota; {
-		b := batchSize
-		if quota-done < b {
-			b = quota - done
+// checkpointer serializes an observed run's convergence trace: workers
+// hand it their per-trial win flags a batch at a time, and it emits one
+// checkpoint each time the global trial count reaches a multiple of
+// every. The lock is held across the emit so checkpoints leave in trial
+// order even when several workers cross boundaries at once.
+type checkpointer struct {
+	o       *obs.Observer
+	every   int64
+	estHist *obs.Histogram
+
+	mu           sync.Mutex
+	trials, wins int64
+}
+
+func newCheckpointer(cfg Config) *checkpointer {
+	every := int64(cfg.CheckpointEvery)
+	if every == 0 {
+		every = max(int64(cfg.Trials/defaultCheckpoints), 1)
+	}
+	return &checkpointer{o: cfg.Obs, every: every, estHist: cfg.Obs.Histogram("sim.estimate", 0, 1, 20)}
+}
+
+// recordBatch accounts one finished batch whose win flags are flags and
+// whose win count is won. Only a batch that crosses a cadence boundary
+// scans its flags, and only up to the last boundary it crosses, so each
+// checkpoint carries the exact win count of the trials before it. A nil
+// checkpointer (no observer) records nothing.
+func (c *checkpointer) recordBatch(flags []bool, won int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	end := c.trials + int64(len(flags))
+	wins, i := c.wins, 0
+	for next := (c.trials/c.every + 1) * c.every; next <= end; next += c.every {
+		for ; c.trials+int64(i) < next; i++ {
+			if flags[i] {
+				wins++
+			}
 		}
-		wins += int64(k.PlaySrc(sc, src, b))
-		trials += int64(b)
-		done += b
+		c.emit(wins, next)
 	}
-	return out.AddN(wins, trials)
+	c.trials, c.wins = end, c.wins+int64(won)
 }
 
-// runBatchObserved is the instrumented twin of runBatch: worker counters
-// update at batch granularity, while the convergence checkpointer replays
-// the batch's per-trial win flags so the checkpoint stream (cadence and
-// values) is identical to the per-trial observed path.
-func runBatchObserved(cfg Config, name string, k *model.BatchKernel) (Result, error) {
-	o := cfg.Obs
-	root := o.StartSpan("sim." + name)
-	defer root.End()
-
-	ck := newCheckpointer(cfg, o)
-	counters := make([]stats.Proportion, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var rngDraws atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				sp := root.Child(fmt.Sprintf("worker[%d]", w))
-				defer sp.End()
-				src := &countingSource{src: cfg.workerSource(w)}
-				sc := model.GetBatchScratch()
-				defer sc.Release()
-				start := time.Now()
-				var wins, trials int64
-				for done := 0; done < quota; {
-					b := batchSize
-					if quota-done < b {
-						b = quota - done
-					}
-					wins += int64(k.PlaySrc(sc, src, b))
-					trials += int64(b)
-					done += b
-					for _, win := range sc.Wins()[:b] {
-						ck.record(win)
-					}
-				}
-				errs[w] = counters[w].AddN(wins, trials)
-				rngDraws.Add(src.n)
-				if el := time.Since(start).Seconds(); el > 0 && trials > 0 {
-					o.Gauge(fmt.Sprintf("sim.worker.%d.trials_per_sec", w)).Set(float64(trials) / el)
-				}
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
-	return finishObserved(o, counters, errs, rngDraws.Load())
-}
-
-// emitCheckpoint records one point of the convergence trace: the running
-// estimate with its Wilson interval at nt trials. Counter reads race
-// benignly with concurrent workers (the trace is diagnostic, the final
-// Result is exact), so the win count is clamped into [0, nt].
-func emitCheckpoint(o *obs.Observer, wins, nt int64, estHist *obs.Histogram) {
-	if wins > nt {
-		wins = nt
-	}
+// emit records one point of the convergence trace: the running estimate
+// at nt trials into the sim.estimate histogram and, when the observer has
+// an event sink, a checkpoint event carrying the Wilson interval.
+func (c *checkpointer) emit(wins, nt int64) {
 	var p stats.Proportion
 	if err := p.AddN(wins, nt); err != nil {
 		return
 	}
 	est := p.Estimate()
+	c.estHist.Observe(est)
+	if c.o.Events == nil {
+		return
+	}
 	lo, hi, err := p.WilsonCI(1.96)
 	if err != nil {
 		return
 	}
-	estHist.Observe(est)
-	o.Emit(obs.Event{
+	c.o.Emit(obs.Event{
 		Type: obs.EventCheckpoint,
 		Name: "sim.convergence",
 		Attrs: map[string]float64{
@@ -574,31 +511,21 @@ func LoadStats(sys *model.System, cfg Config, metric func(model.Outcome) float64
 	root := cfg.Obs.StartSpan("sim.load_stats")
 	defer root.End()
 	accs := make([]stats.Running, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w, quota int) {
-			defer wg.Done()
-			runLabeled(w, func() {
-				rng := cfg.workerRNG(w)
-				inputs := make([]float64, sys.N())
-				var out model.Outcome
-				for i := 0; i < quota; i++ {
-					if err := sys.SampleInputsInto(inputs, rng); err != nil {
-						errs[w] = err
-						return
-					}
-					if err := sys.PlayInto(&out, inputs, rng); err != nil {
-						errs[w] = err
-						return
-					}
-					accs[w].Add(metric(out))
-				}
-			})
-		}(w, splitQuota(cfg.Trials, cfg.Workers, w))
-	}
-	wg.Wait()
+	errs := fanOut(cfg, func(w, quota int) error {
+		rng := rand.New(cfg.workerSource(w))
+		inputs := make([]float64, sys.N())
+		var out model.Outcome
+		for i := 0; i < quota; i++ {
+			if err := sys.SampleInputsInto(inputs, rng); err != nil {
+				return err
+			}
+			if err := sys.PlayInto(&out, inputs, rng); err != nil {
+				return err
+			}
+			accs[w].Add(metric(out))
+		}
+		return nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			err = wrapTrialErr(err)
