@@ -2,9 +2,11 @@ package repro
 
 // Benchmarks for the exact-evaluation backend, tracked in the
 // BENCH_sim.json perf trajectory (pre-exact vs post-exact snapshots) and
-// gated by `make bench-check`. All three pin the n = 10, δ = n/3 workload
-// the ISSUE targets: the general threshold vector (Theorem 5.1), its
-// heterogeneous generalization, and the heterogeneous oblivious sum.
+// gated by `make bench-check`. The first three pin the n = 10, δ = n/3
+// workload: the general threshold vector (Theorem 5.1), its heterogeneous
+// generalization, and the heterogeneous oblivious sum.
+// BenchmarkExactHeteroSymmetric has no recorded snapshot yet; it times the
+// n = 13 symmetric heterogeneous evaluation that the service runs.
 
 import (
 	"testing"
@@ -77,6 +79,28 @@ func BenchmarkExactObliviousHetero(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := oblivious.WinningProbabilityPi(alphas, pi, float64(exactBenchN)/3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExactHeteroSymmetric times the heterogeneous Theorem 5.1
+// generalization for a symmetric rule at n = 13 — the shape of a served
+// heterogeneous threshold request: π ∈ [0.5, 1], β = 0.5, δ = n/3. One
+// shared threshold makes the bin-1 side a ranked sum-over-subsets table
+// rather than a walk per outer set.
+func BenchmarkExactHeteroSymmetric(b *testing.B) {
+	const n = 13
+	ths := make([]float64, n)
+	pi := make([]float64, n)
+	for i := range ths {
+		ths[i] = 0.5
+		pi[i] = 0.5 + 0.5*float64(i)/(n-1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nonoblivious.WinningProbabilityPi(ths, pi, float64(n)/3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package combin
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -56,48 +57,97 @@ func TestSubsetTableLimits(t *testing.T) {
 }
 
 // TestSumOverSubsets pins the zeta transform against the O(3^n) direct
-// submask sum, serial and worker-parallel (which must agree exactly: the
-// pair additions are identical, only their scheduling differs).
+// submask sum and, bit for bit, against one-pass-at-a-time pair additions
+// (which the register-blocked passes must reproduce exactly), serial and
+// worker-parallel. Below sosSerialCells every worker count runs serially;
+// the sizes at and above it exercise the sharded path, which must be
+// bit-identical to the serial one: the pair additions are identical, only
+// their scheduling differs.
 func TestSumOverSubsets(t *testing.T) {
-	const n = 8
-	base := make([]float64, 1<<n)
-	for mask := range base {
-		base[mask] = math.Sin(float64(mask)+1) / float64(mask+2)
-	}
-	want := make([]float64, len(base))
-	for mask := uint64(0); mask < uint64(len(base)); mask++ {
-		// Direct submask enumeration.
-		sub := mask
-		for {
-			want[mask] += base[sub]
-			if sub == 0 {
-				break
-			}
-			sub = (sub - 1) & mask
+	input := func(n int) []float64 {
+		base := make([]float64, 1<<n)
+		for mask := range base {
+			base[mask] = math.Sin(float64(mask)+1) / float64(mask+2)
 		}
+		return base
 	}
-	for _, workers := range []int{1, 4} {
-		got := append([]float64(nil), base...)
-		if err := SumOverSubsets(got, n, workers); err != nil {
-			t.Fatalf("SumOverSubsets(workers=%d): %v", workers, err)
-		}
-		for mask := range got {
-			if math.Abs(got[mask]-want[mask]) > 1e-12*(1+math.Abs(want[mask])) {
-				t.Fatalf("workers=%d: zeta[%b] = %v, want %v", workers, mask, got[mask], want[mask])
+	for _, n := range []int{0, 1, 2, 3, 4, 8, 12} {
+		base := input(n)
+		want := make([]float64, len(base))
+		for mask := uint64(0); mask < uint64(len(base)); mask++ {
+			// Direct submask enumeration.
+			sub := mask
+			for {
+				want[mask] += base[sub]
+				if sub == 0 {
+					break
+				}
+				sub = (sub - 1) & mask
 			}
 		}
+		passes := singlePassZeta(base, n)
+		for _, workers := range []int{1, 4} {
+			got := append([]float64(nil), base...)
+			if err := SumOverSubsets(got, n, workers); err != nil {
+				t.Fatalf("n=%d SumOverSubsets(workers=%d): %v", n, workers, err)
+			}
+			for mask := range got {
+				if math.Abs(got[mask]-want[mask]) > 1e-12*(1+math.Abs(want[mask])) {
+					t.Fatalf("n=%d workers=%d: zeta[%b] = %v, want %v", n, workers, mask, got[mask], want[mask])
+				}
+				if math.Float64bits(got[mask]) != math.Float64bits(passes[mask]) {
+					t.Fatalf("n=%d workers=%d: zeta[%b] = %v, single passes give %v", n, workers, mask, got[mask], passes[mask])
+				}
+			}
+		}
 	}
-	serial := append([]float64(nil), base...)
-	parallel := append([]float64(nil), base...)
-	if err := SumOverSubsets(serial, n, 1); err != nil {
-		t.Fatal(err)
+	cut := bits.TrailingZeros64(sosSerialCells)
+	for _, n := range []int{cut - 1, cut, cut + 1} {
+		base := input(n)
+		passes := singlePassZeta(base, n)
+		for _, workers := range []int{1, 2, 3, 7} {
+			got := append([]float64(nil), base...)
+			if err := SumOverSubsets(got, n, workers); err != nil {
+				t.Fatal(err)
+			}
+			for mask := range got {
+				if math.Float64bits(got[mask]) != math.Float64bits(passes[mask]) {
+					t.Fatalf("n=%d workers=%d: zeta[%b] = %v, single passes give %v", n, workers, mask, got[mask], passes[mask])
+				}
+			}
+		}
 	}
-	if err := SumOverSubsets(parallel, n, 3); err != nil {
-		t.Fatal(err)
+}
+
+// singlePassZeta is the reference zeta transform: n sweeps, pass b adding
+// each bit-b-clear cell into its bit-b-set partner.
+func singlePassZeta(base []float64, n int) []float64 {
+	out := append([]float64(nil), base...)
+	for b := 0; b < n; b++ {
+		bit := 1 << b
+		for mask := range out {
+			if mask&bit != 0 {
+				out[mask] += out[mask^bit]
+			}
+		}
 	}
-	for mask := range serial {
-		if math.Float64bits(serial[mask]) != math.Float64bits(parallel[mask]) {
-			t.Fatalf("zeta transform not bit-identical across worker counts at mask %b", mask)
+	return out
+}
+
+// TestSumOverSubsetsSmallTableAllocs pins the serial cut-off: a table below
+// sosSerialCells spawns no goroutines, so a pass allocates nothing even
+// when the caller offers workers.
+func TestSumOverSubsetsSmallTableAllocs(t *testing.T) {
+	for _, n := range []int{13, bits.TrailingZeros64(sosSerialCells) - 1} {
+		arr := make([]float64, 1<<n)
+		for _, workers := range []int{1, 2} {
+			if got := testing.AllocsPerRun(20, func() {
+				if err := SumOverSubsets(arr, n, workers); err != nil {
+					t.Fatal(err)
+				}
+			}); got != 0 {
+				t.Errorf("n=%d workers=%d: %v allocs per pass, want 0", n, workers, got)
+			}
 		}
 	}
 }

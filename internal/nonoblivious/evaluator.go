@@ -80,7 +80,7 @@ type Evaluator struct {
 	oneMinus []float64
 	sm1      []float64 // σ_J a − |J|
 	pcf      []float64 // float64 popcounts (fixed)
-	sign     []float64 // parity signs (fixed)
+	shift    []float64 // per-exponent radix shifts m − δ (fixed)
 	n1       []float64 // clamped N₁ table
 	base     []float64 // zeta scratch
 	partial  []float64 // chunked-sum partials (fixed grid)
@@ -144,26 +144,24 @@ func NewEvaluator(n int, capacity float64) (*Evaluator, error) {
 		oneMinus: make([]float64, n),
 		sm1:      make([]float64, size),
 		pcf:      make([]float64, size),
-		sign:     make([]float64, size),
 		n1:       make([]float64, size),
 		base:     make([]float64, size),
-		invFact:  make([]float64, n+2),
+		shift:    make([]float64, n+1),
 		invInt:   make([]float64, n+2),
 		binom:    make([]float64, (n+2)*(n+2)),
 	}
 	_, chunks := combin.ChunkSpan(uint64(size))
 	ev.partial = make([]float64, chunks)
-	ev.sign[0] = 1
 	for mask := 1; mask < size; mask++ {
 		ev.pcf[mask] = float64(bits.OnesCount64(uint64(mask)))
-		ev.sign[mask] = -ev.sign[mask&(mask-1)]
+	}
+	if ev.invFact, err = invFactorials(n + 1); err != nil {
+		return nil, err
 	}
 	for m := 0; m <= n+1; m++ {
-		f, ferr := combin.FactorialFloat(m)
-		if ferr != nil {
-			return nil, ferr
+		if m <= n {
+			ev.shift[m] = float64(m) - capacity
 		}
-		ev.invFact[m] = 1 / f
 		if m > 0 {
 			ev.invInt[m] = 1 / float64(m)
 		}
@@ -379,39 +377,10 @@ func (ev *Evaluator) lineValue(i int, v float64) (float64, error) {
 }
 
 // bin1Passes rebuilds the N₁ table from the current subset-sum/product
-// state, mirroring bin1Table's per-exponent signed-base/zeta/readoff
-// passes operation for operation.
+// state through bin1Table's rankedTailPasses, so the two stay bit-identical.
 func (ev *Evaluator) bin1Passes() error {
-	n := ev.n
-	size := 1 << uint(n)
-	prod := ev.prod.Values()
 	ev.n1[0] = 1
-	for m := 1; m <= n; m++ {
-		invFact := ev.invFact[m]
-		shift := float64(m) - ev.capacity
-		for mask := 0; mask < size; mask++ {
-			r := shift + ev.sm1[mask]
-			if r > 0 {
-				ev.base[mask] = ev.sign[mask] * invFact * combin.PowInt(r, m)
-			} else {
-				ev.base[mask] = 0
-			}
-		}
-		if err := combin.SumOverSubsets(ev.base, n, 1); err != nil {
-			return err
-		}
-		for mask := 0; mask < size; mask++ {
-			if bits.OnesCount64(uint64(mask)) != m {
-				continue
-			}
-			v := prod[mask] - ev.base[mask]
-			if v < 0 {
-				v = 0
-			}
-			ev.n1[mask] = v
-		}
-	}
-	return nil
+	return rankedTailPasses(ev.n1, ev.base, ev.sm1, ev.prod.Values(), ev.shift, ev.invFact, ev.n, 1)
 }
 
 // maskSum reduces the Theorem 5.1 sum Σ_s N₀[full∖s]·N₁[s] over the fixed

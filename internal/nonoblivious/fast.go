@@ -106,51 +106,89 @@ func bin1Table(a []float64, capacity float64, workers int, stats *dist.SubsetVol
 	if err != nil {
 		return nil, err
 	}
-	// sign[J]·(σ_J a − |J|): parity-signed radix offsets, both tabulated
-	// once so each exponent's rebuild is a guard, a PowInt and a multiply.
-	sign := make([]float64, size)
-	sign[0] = 1
+	// σ_J a − |J|, tabulated once so each exponent's rebuild is a guard,
+	// a PowInt and a multiply.
 	for mask := uint64(1); mask < size; mask++ {
 		sums[mask] -= float64(bits.OnesCount64(mask))
-		sign[mask] = -sign[mask&(mask-1)]
+	}
+	invFact, err := invFactorials(n)
+	if err != nil {
+		return nil, err
+	}
+	shift := make([]float64, n+1)
+	for m := range shift {
+		shift[m] = float64(m) - capacity
 	}
 	out := make([]float64, size)
 	out[0] = 1 // the empty bin always fits
-	base := make([]float64, size)
-	for m := 1; m <= n; m++ {
+	if err := rankedTailPasses(out, make([]float64, size), sums, prod, shift, invFact, n, workers); err != nil {
+		return nil, err
+	}
+	stats.Subsets += size
+	stats.Rebuilt += uint64(n) * size
+	stats.Incremental += uint64(n) * uint64(n) * size / 2
+	return out, nil
+}
+
+// invFactorials returns 1/m! for m = 0, ..., k.
+func invFactorials(k int) ([]float64, error) {
+	inv := make([]float64, k+1)
+	for m := range inv {
 		f, err := combin.FactorialFloat(m)
 		if err != nil {
 			return nil, err
 		}
-		invFact := 1 / f
-		shift := float64(m) - capacity
-		for mask := uint64(0); mask < size; mask++ {
-			r := shift + sums[mask]
+		inv[m] = 1 / f
+	}
+	return inv, nil
+}
+
+// rankedTailPasses fills out[S] for every S with 1 ≤ |S| ≤ kmax, where
+// kmax = len(shift) − 1, from an inclusion-exclusion sum whose radix
+// depends on S only through its cardinality m = |S|:
+//
+//	out[S] = max(box[S] − Σ_{J⊆S} b_m[J], 0)    (box nil: max(Σ_{J⊆S} b_m[J], 0))
+//	b_m[J] = (−1)^{|J|} · invFact[m] · (shift[m] + off[J])₊^m
+//
+// For each m the signed base b_m is rebuilt over every J into the scratch
+// table base (the radix moves with m, so nothing carries across
+// exponents), one sum-over-subsets pass sums it over the subsets of every
+// S at once, and only the |S| = m entries are read off. Both bin-1 tables
+// (Lemma 2.7 tails for homogeneous inputs, shifted Proposition 2.2
+// volumes for symmetric heterogeneous rules) and the Evaluator run
+// through here, so their operation sequences stay identical.
+func rankedTailPasses(out, base, off, box, shift, invFact []float64, n, workers int) error {
+	for m := 1; m < len(shift); m++ {
+		f, sh := invFact[m], shift[m]
+		for mask, o := range off {
+			r := sh + o
 			if r > 0 {
-				base[mask] = sign[mask] * invFact * combin.PowInt(r, m)
+				// Flipping the sign bit for odd |J| is exactly the
+				// multiply by −1.
+				odd := uint64(bits.OnesCount64(uint64(mask)) & 1)
+				base[mask] = math.Float64frombits(math.Float64bits(f*combin.PowInt(r, m)) ^ odd<<63)
 			} else {
 				base[mask] = 0
 			}
 		}
 		if err := combin.SumOverSubsets(base, n, workers); err != nil {
-			return nil, err
+			return err
 		}
-		// Only the |O| = m entries are Lemma 2.7 tails at this exponent.
 		if err := combin.ForEachKSubsetMask(n, m, func(mask uint64) bool {
-			v := prod[mask] - base[mask]
+			v := base[mask]
+			if box != nil {
+				v = box[mask] - v
+			}
 			if v < 0 {
 				v = 0
 			}
 			out[mask] = v
 			return true
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	stats.Subsets += size
-	stats.Rebuilt += uint64(n) * size
-	stats.Incremental += uint64(n) * uint64(n) * size / 2
-	return out, nil
+	return nil
 }
 
 // ExactErrorBound is the documented absolute-error bound of the float64
